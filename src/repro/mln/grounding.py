@@ -20,17 +20,31 @@ counted once).
 This "fires" semantics is supermodular and monotone because all the mass a
 match set can gain or lose by adding one more pair comes from groundings in
 which that pair participates positively.
+
+**Join plan.**  Since a grounding whose ``equals`` atom is not a candidate
+pair (or reflexive) can never fire, the ``equals`` atoms join as relations
+over the candidate pairs: the head over the candidates only, a body atom over
+the candidates plus the reflexive pairs.  The filter above would discard
+every binding outside those relations, so restricting the join to them
+leaves the set of groundings unchanged — and for the paper's coauthor rule
+it replaces the ``|coauthor|²`` cross product by a walk out from each
+candidate pair.  Each rule is compiled once into a
+:class:`~repro.mln.plan.RulePlan`; groundings come out sorted, rule by rule.
+Each rule's complete bindings (before the filter) and kept groundings are
+counted in the registry as ``mln_bindings_total{rule=}`` and
+``mln_groundings_total{rule=}``.  The nested-loop join this replaces is kept
+as :class:`repro.reference.ReferenceGrounder` for the parity tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, List
 
 from ..datamodel import EntityPair
 from ..exceptions import InferenceError
-from .database import EvidenceDatabase, GroundTuple, GroundValue
-from .logic import Atom, Constant, Rule, RuleSet, Variable
+from .database import EvidenceDatabase
+from .logic import Atom, Constant, Rule, RuleSet
 
 
 @dataclass(frozen=True)
@@ -51,110 +65,47 @@ class GroundRule:
         return self.body_pairs | {self.head_pair}
 
 
+def check_query_atom(atom_: Atom) -> None:
+    """Raise :class:`InferenceError` unless ``atom_`` is binary."""
+    if len(atom_.terms) != 2:
+        raise InferenceError(
+            f"query atom {atom_!r} must be binary, got arity {len(atom_.terms)}"
+        )
+
+
+def active_domain(rule: Rule, database: EvidenceDatabase) -> List[str]:
+    """What a variable only ``equals`` atoms mention ranges over: every fact
+    value, candidate entity and constant of ``rule``, as strings, sorted."""
+    constants = {str(term.value) for body_atom in (*rule.body, rule.head)
+                 for term in body_atom.terms if isinstance(term, Constant)}
+    return sorted(set(database.domain()) | constants)
+
+
 class Grounder:
-    """Grounds a :class:`RuleSet` against an :class:`EvidenceDatabase`."""
+    """Grounds a :class:`RuleSet` against an :class:`EvidenceDatabase`.
+
+    Each rule's join plan is compiled once, here; a rule with a non-binary
+    ``equals`` atom raises :class:`InferenceError`.  A pickled grounder
+    carries only its rules and recompiles the plans when loaded.
+    """
 
     def __init__(self, rules: RuleSet):
+        from .plan import RulePlan  # compiled on first use, not on import
+
         self.rules = rules
+        #: The ``(predicate, arity)`` pairs the rules read.
+        self.signatures = rules.evidence_signatures()
+        self._plans = [RulePlan(rule) for rule in rules]
 
-    # ------------------------------------------------------------- bindings
-    @staticmethod
-    def _extend_bindings(bindings: List[Dict[Variable, GroundValue]],
-                         atom_: Atom,
-                         database: EvidenceDatabase) -> List[Dict[Variable, GroundValue]]:
-        """Join one evidence atom into the current set of partial bindings."""
-        extended: List[Dict[Variable, GroundValue]] = []
-        arity = len(atom_.terms)
-        for binding in bindings:
-            bound_positions: Dict[int, GroundValue] = {}
-            for position, term in enumerate(atom_.terms):
-                if isinstance(term, Constant):
-                    bound_positions[position] = term.value
-                elif term in binding:
-                    bound_positions[position] = binding[term]
-            for fact in database.lookup(atom_.predicate, bound_positions):
-                if len(fact) != arity:
-                    continue
-                new_binding = dict(binding)
-                consistent = True
-                for position, term in enumerate(atom_.terms):
-                    value = fact[position]
-                    if isinstance(term, Constant):
-                        if term.value != value:
-                            consistent = False
-                            break
-                    else:
-                        existing = new_binding.get(term)
-                        if existing is None:
-                            new_binding[term] = value
-                        elif existing != value:
-                            consistent = False
-                            break
-                if consistent:
-                    extended.append(new_binding)
-        return extended
+    def __getstate__(self):
+        return {"rules": self.rules}
 
-    @staticmethod
-    def _query_pair(atom_: Atom, binding: Dict[Variable, GroundValue]) -> Optional[EntityPair]:
-        """Ground a query atom to an :class:`EntityPair`, or ``None`` when reflexive."""
-        values = atom_.substitute(binding)
-        if len(values) != 2:
-            raise InferenceError(
-                f"query atom {atom_!r} must be binary, got arity {len(values)}"
-            )
-        first, second = str(values[0]), str(values[1])
-        if first == second:
-            return None
-        return EntityPair.of(first, second)
-
-    # ------------------------------------------------------------- grounding
-    def ground_rule(self, rule: Rule, database: EvidenceDatabase) -> List[GroundRule]:
-        """All groundings of ``rule`` that can possibly fire."""
-        bindings: List[Dict[Variable, GroundValue]] = [{}]
-        for evidence_atom in rule.evidence_atoms():
-            bindings = self._extend_bindings(bindings, evidence_atom, database)
-            if not bindings:
-                return []
-
-        groundings: List[GroundRule] = []
-        seen: Set[Tuple[EntityPair, FrozenSet[EntityPair]]] = set()
-        for binding in bindings:
-            head_pair = self._query_pair(rule.head, binding)
-            if head_pair is None:
-                # Reflexive head: always satisfied, constant contribution.
-                continue
-            if not database.is_candidate(head_pair):
-                # The head can never be matched: the grounding can never fire.
-                continue
-            body_pairs: Set[EntityPair] = set()
-            possible = True
-            for query_atom in rule.query_atoms():
-                pair = self._query_pair(query_atom, binding)
-                if pair is None:
-                    continue  # reflexive equals in the body is always true
-                if not database.is_candidate(pair):
-                    possible = False
-                    break
-                if pair == head_pair:
-                    continue  # trivially satisfied together with the head
-                body_pairs.add(pair)
-            if not possible:
-                continue
-            key = (head_pair, frozenset(body_pairs))
-            if key in seen:
-                continue
-            seen.add(key)
-            groundings.append(GroundRule(
-                rule_name=rule.name,
-                weight=rule.weight,
-                head_pair=head_pair,
-                body_pairs=frozenset(body_pairs),
-            ))
-        return groundings
+    def __setstate__(self, state) -> None:
+        self.__init__(state["rules"])
 
     def ground(self, database: EvidenceDatabase) -> List[GroundRule]:
         """Ground every rule of the rule set."""
         groundings: List[GroundRule] = []
-        for rule in self.rules:
-            groundings.extend(self.ground_rule(rule, database))
+        for plan in self._plans:
+            groundings.extend(plan.ground(database))
         return groundings

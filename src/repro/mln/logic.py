@@ -221,6 +221,12 @@ class RuleSet:
     def is_monotone_fragment(self) -> bool:
         return all(rule.is_monotone_fragment() for rule in self._rules)
 
+    def evidence_signatures(self) -> FrozenSet[Tuple[str, int]]:
+        """``(predicate, arity)`` of every evidence atom the rules read."""
+        return frozenset((body_atom.predicate, len(body_atom.terms))
+                         for rule in self._rules
+                         for body_atom in rule.evidence_atoms())
+
 
 #: The weights learnt by Alchemy and reported in Appendix B of the paper.
 PAPER_WEIGHTS: Dict[str, float] = {

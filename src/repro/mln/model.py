@@ -39,11 +39,12 @@ class MarkovLogicNetwork:
 
     # ------------------------------------------------------------- grounding
     def build_database(self, store: EntityStore) -> EvidenceDatabase:
-        """Build the evidence database for ``store`` using this MLN's relations."""
+        """The evidence database for ``store``: only the facts the rules read."""
         return database_from_store(
             store,
             coauthor_relation=self.coauthor_relation,
             extra_relations=self.extra_relations,
+            signatures=self._grounder.signatures,
         )
 
     def ground(self, store: EntityStore) -> GroundNetwork:
